@@ -202,6 +202,10 @@ type TrialOptions struct {
 	// one more proc in the event order: traced runs are deterministic
 	// against other traced runs, not byte-identical to untraced ones.
 	Telemetry *telemetry.Tracer
+	// EngineStats, when non-nil, receives the event engine's scheduling
+	// counters once the run ends (also on error). They are deterministic
+	// host-cost proxies, not part of the trial's Metrics.
+	EngineStats *sim.Stats
 }
 
 // RunTrialObserved is RunTrial with a sampling hook invoked every
@@ -404,7 +408,11 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 		})
 	}
 
-	if err := eng.Run(); err != nil {
+	err := eng.Run()
+	if opts.EngineStats != nil {
+		*opts.EngineStats = eng.Stats()
+	}
+	if err != nil {
 		return Metrics{}, err
 	}
 	if err := mgr.AuditErr(); err != nil {

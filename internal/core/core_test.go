@@ -76,6 +76,24 @@ func TestRunTrialDeterministicPerSeed(t *testing.T) {
 	}
 }
 
+func TestEngineStatsDeterministicPerSeed(t *testing.T) {
+	run := func() sim.Stats {
+		var st sim.Stats
+		if _, err := RunTrialOpts(tinyYCSB(ycsb.MixA), clockFactory, fastSys(), 5, 7,
+			TrialOptions{EngineStats: &st}); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	a, b := run(), run()
+	if a != b {
+		t.Fatalf("engine stats differ across runs of one seed: %+v vs %+v", a, b)
+	}
+	if a.Switches == 0 || a.Lookaheads == 0 || a.Events < a.Switches {
+		t.Fatalf("implausible engine stats %+v", a)
+	}
+}
+
 func TestSystemSeedChangesOutcome(t *testing.T) {
 	a, _ := RunTrial(tinyTPCH(), mglruFactory, fastSys(), 5, 1)
 	b, _ := RunTrial(tinyTPCH(), mglruFactory, fastSys(), 5, 2)

@@ -11,11 +11,12 @@ const DefaultQuantum Duration = 250 * Microsecond
 // NewEngine, spawn procs, then call Run. An Engine must not be shared
 // between host goroutines.
 //
-// Control transfer is baton-passing: exactly one goroutine — the host
-// inside Run, or one proc — holds control at any time. A proc that parks
-// runs the dispatch loop itself and wakes the next schedulable proc
-// directly, so a context switch costs one channel send plus one receive
-// instead of a round trip through a central scheduler goroutine.
+// Each proc body is a runtime coroutine that Run resumes; exactly one of
+// them, or Run itself, executes at any time. A proc that parks runs the
+// dispatch loop itself: inline After callbacks and its own next wakeup
+// need no switch at all. When the loop pops another proc's wakeup, it
+// records that proc as pending and the parking proc yields back to Run,
+// which resumes the pending proc.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -28,16 +29,29 @@ type Engine struct {
 	runnable int // procs currently consuming CPU
 
 	running *Proc // proc holding control right now, nil when engine runs
+	pending *Proc // proc Run resumes next, nil when the simulation is over
 	stopped bool
 	failure error
 
-	// mainCh returns the baton to Run when the simulation is over
-	// (finished, stopped, or deadlocked). Buffered so dispatch can hand
-	// the baton back before Run has reached its receive.
-	mainCh chan struct{}
-	// shuttingDown redirects proc-completion batons to mainCh while
-	// shutdown unwinds killed procs one at a time.
-	shuttingDown bool
+	stats Stats
+}
+
+// Stats counts the engine's scheduling work. The counts follow from the
+// event sequence alone, so two runs of the same seeded simulation report
+// identical Stats whatever the host's speed or load.
+type Stats struct {
+	// Events counts events taken off the queue: After callbacks run,
+	// procs woken, and stale wakeups skipped.
+	Events uint64
+	// Switches counts transfers of control to a proc other than the one
+	// parking (Run's first hand-over included).
+	Switches uint64
+	// SelfWakes counts parks whose own wakeup was the next event, so the
+	// proc kept running without a switch.
+	SelfWakes uint64
+	// Lookaheads counts Charge quanta and sleeps that advanced virtual
+	// time in place because no event was due first.
+	Lookaheads uint64
 }
 
 // NewEngine returns an engine modelling cpus hardware contexts.
@@ -45,8 +59,11 @@ func NewEngine(cpus int) *Engine {
 	if cpus <= 0 {
 		panic("sim: NewEngine requires at least one CPU")
 	}
-	return &Engine{cpus: cpus, quantum: DefaultQuantum, mainCh: make(chan struct{}, 1)}
+	return &Engine{cpus: cpus, quantum: DefaultQuantum}
 }
+
+// Stats reports the engine's scheduling counters so far.
+func (e *Engine) Stats() Stats { return e.stats }
 
 // SetQuantum overrides the CPU accounting quantum (useful in tests).
 func (e *Engine) SetQuantum(q Duration) {
@@ -166,13 +183,18 @@ func (e *Engine) pushProc(t Time, p *Proc) {
 
 // canAdvanceTo reports whether the running proc may move virtual time
 // straight to t without yielding: the engine is not stopped and no pending
-// event is due at or before t. When it holds, a scheduler round trip would
-// pop only the caller's own wakeup, so Charge/SleepUntil skip the event
-// push and channel handoff and advance e.now in place. An event due exactly
+// event is due at or before t. When it holds, a dispatch would pop only
+// the caller's own wakeup, so Charge/SleepUntil skip the event push and
+// dispatch and advance e.now in place. An event due exactly
 // at t forces the slow path — it was pushed earlier, carries a smaller
 // sequence number, and must run first for event order to stay identical.
+// A true result is counted as a lookahead: every caller then advances.
 func (e *Engine) canAdvanceTo(t Time) bool {
-	return !e.stopped && (len(e.events) == 0 || e.events[0].at > t)
+	if e.stopped || (len(e.events) > 0 && e.events[0].at <= t) {
+		return false
+	}
+	e.stats.Lookaheads++
+	return true
 }
 
 // After schedules fn to run in engine context at now+d. fn must not block;
@@ -188,21 +210,15 @@ func (e *Engine) After(d Duration, fn func()) {
 // time. Daemon procs do not keep Run alive; they are terminated when all
 // non-daemon procs have finished.
 func (e *Engine) Spawn(name string, daemon bool, fn func(*Env)) *Proc {
-	p := &Proc{
-		name:   name,
-		daemon: daemon,
-		engine: e,
-		// Buffered: the waker may be the proc itself (a dispatch run from
-		// this proc's own handoff can pop this proc's next wakeup), so the
-		// send must complete before the receive is reached.
-		resume: make(chan struct{}, 1),
-		state:  stateReady,
-	}
+	p := &Proc{name: name, daemon: daemon, engine: e, state: stateReady}
+	p.resume = newCoro(func(park func(struct{}) bool) {
+		p.park = park
+		p.top(fn)
+	})
 	e.procs = append(e.procs, p)
 	if !daemon {
 		e.live++
 	}
-	go p.top(fn)
 	// Procs contribute to CPU contention only while charging CPU work;
 	// a freshly spawned proc is scheduled but not yet consuming CPU.
 	e.pushProc(e.now, p)
@@ -227,7 +243,11 @@ func (e *Engine) setRunnable(p *Proc, r bool) {
 // the simulation deadlocked (no events pending while procs still live).
 func (e *Engine) Run() error {
 	e.dispatch()
-	<-e.mainCh
+	for e.pending != nil {
+		p := e.pending
+		e.pending = nil
+		p.resume()
+	}
 	e.shutdown()
 	return e.failure
 }
@@ -236,32 +256,31 @@ func (e *Engine) Run() error {
 // Run's shutdown phase. Safe to call from engine callbacks and procs.
 func (e *Engine) Stop() { e.stopped = true }
 
-// dispatch passes the baton to the next schedulable entity. The caller
-// must have fully recorded its own state first (parked, finished, or — for
-// the host — not yet started). Inline callbacks run in the caller's
-// goroutine; when a proc's wakeup pops, dispatch sends it the baton and
-// returns so the caller can park itself. When the simulation is over the
-// baton goes back to Run via mainCh.
+// dispatch picks the next proc to run. The caller must have fully
+// recorded its own state first (parked, finished, or — for Run — not yet
+// started). Inline callbacks run on the caller's stack; when a proc's
+// wakeup pops, dispatch records it in e.pending and returns so the caller
+// can yield to Run, which resumes it. When the simulation is over it
+// leaves e.pending nil.
 func (e *Engine) dispatch() { e.dispatchFrom(nil) }
 
 // dispatchFrom is dispatch with a self-wake fast path: when the next
 // wakeup belongs to self (the proc currently parking), it reports true
-// and self simply keeps the baton — no channel operations at all. This
-// is common when inline After callbacks interleave with a proc that is
+// and self simply keeps running, with no coroutine switch. This is
+// common when inline After callbacks interleave with a proc that is
 // otherwise the earliest sleeper.
 func (e *Engine) dispatchFrom(self *Proc) bool {
 	e.running = nil
 	for {
 		if e.stopped || e.live == 0 {
-			e.mainCh <- struct{}{}
 			return false
 		}
 		if len(e.events) == 0 {
 			e.failure = e.deadlockError()
-			e.mainCh <- struct{}{}
 			return false
 		}
 		ev := e.events.pop()
+		e.stats.Events++
 		if ev.at < e.now {
 			panic("sim: event scheduled in the past")
 		}
@@ -276,16 +295,18 @@ func (e *Engine) dispatchFrom(self *Proc) bool {
 		e.running = ev.proc
 		ev.proc.state = stateRunning
 		if ev.proc == self {
+			e.stats.SelfWakes++
 			return true
 		}
-		ev.proc.resume <- struct{}{}
+		e.stats.Switches++
+		e.pending = ev.proc
 		return false
 	}
 }
 
-// finish records proc completion and passes the baton on. Runs in the
-// finishing proc's goroutine (this is the bookkeeping the central
-// scheduler used to do after each yield).
+// finish records proc completion and, outside shutdown, picks the next
+// proc to run. It runs on the finishing proc's stack, just before its
+// coroutine returns to Run.
 func (e *Engine) finish(p *Proc) {
 	e.setRunnable(p, false)
 	if !p.daemon {
@@ -296,26 +317,23 @@ func (e *Engine) finish(p *Proc) {
 		e.stopped = true
 	}
 	p.done.broadcastLocked(e)
-	if e.shuttingDown {
-		e.mainCh <- struct{}{}
-		return
+	if !p.killed {
+		e.dispatch()
 	}
-	e.dispatch()
 }
 
 // shutdown terminates all unfinished procs after the main phase exits.
-// Each killed proc unwinds in its own goroutine and hands the baton back
-// through mainCh before the next one is resumed.
+// Each one is resumed with killed set: a parked proc unwinds through the
+// killSignal panic, and one never scheduled returns before running its
+// body. Either way its coroutine completes, so no goroutine outlives Run.
 func (e *Engine) shutdown() {
-	e.shuttingDown = true
 	for _, p := range e.procs {
 		if p.state == stateDone {
 			continue
 		}
 		p.killed = true
 		e.running = p
-		p.resume <- struct{}{}
-		<-e.mainCh
+		p.resume()
 	}
 	e.running = nil
 }

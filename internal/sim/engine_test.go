@@ -551,3 +551,38 @@ func TestRNGShuffleIsPermutation(t *testing.T) {
 		t.Fatal("shuffle lost elements")
 	}
 }
+
+// BenchmarkEngineHandoff measures the cost of a cross-proc switch: two
+// procs ping-pong through a Cond, so every iteration parks each proc once
+// and hands control to the other (two switches). ns/switch is half of
+// ns/op.
+func BenchmarkEngineHandoff(b *testing.B) {
+	e := NewEngine(1)
+	var c Cond
+	turn := 0
+	n := b.N
+	e.Spawn("ping", false, func(v *Env) {
+		for i := 0; i < n; i++ {
+			turn = 1
+			c.Signal(e)
+			for turn != 0 {
+				v.Wait(&c)
+			}
+		}
+	})
+	e.Spawn("pong", false, func(v *Env) {
+		for i := 0; i < n; i++ {
+			for turn != 1 {
+				v.Wait(&c)
+			}
+			turn = 0
+			c.Signal(e)
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*n), "ns/switch")
+}

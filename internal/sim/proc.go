@@ -28,8 +28,8 @@ func (s procState) String() string {
 	return "unknown"
 }
 
-// killSignal is panicked inside a proc goroutine to unwind it when the
-// engine shuts down; the proc wrapper recovers it.
+// killSignal is panicked inside a proc to unwind it when the engine shuts
+// down; the proc wrapper recovers it.
 type killSignalType struct{}
 
 var killSignal = killSignalType{}
@@ -43,16 +43,18 @@ func IsKillSignal(r any) bool {
 	return ok
 }
 
-// Proc is a simulated task: a goroutine that runs only while the engine has
-// handed it control, making execution fully deterministic.
+// Proc is a simulated task: a coroutine that runs only while the engine
+// has resumed it, making execution fully deterministic.
 type Proc struct {
 	name   string
 	daemon bool
 	engine *Engine
 
-	// resume delivers the baton (buffered, capacity 1: the sender may be
-	// this proc's own handoff-dispatch).
-	resume chan struct{}
+	// resume runs the proc's coroutine until it parks or finishes; park,
+	// called from inside the coroutine, suspends it and returns control
+	// to the resume caller (Run).
+	resume func() (struct{}, bool)
+	park   func(struct{}) bool
 
 	state     procState
 	countsCPU bool   // contributes to CPU contention right now
@@ -78,9 +80,10 @@ func (p *Proc) Done() *Cond { return &p.done }
 // Finished reports whether the proc has completed.
 func (p *Proc) Finished() bool { return p.state == stateDone }
 
-// top is the goroutine body wrapping the user function.
+// top is the coroutine body wrapping the user function. It first runs
+// when the proc's start event is dispatched, or when shutdown kills a
+// proc that never started.
 func (p *Proc) top(fn func(*Env)) {
-	<-p.resume // wait for the first schedule
 	defer func() {
 		if r := recover(); r != nil {
 			switch e := r.(type) {
@@ -104,19 +107,21 @@ func (p *Proc) top(fn func(*Env)) {
 	fn(&Env{engine: p.engine, proc: p})
 }
 
-// handoff passes the baton on (running the dispatch loop in this
-// goroutine) and blocks until resumed. The caller must have recorded the
-// proc's parked state and any wakeup event before calling. On resume
-// during shutdown it unwinds via killSignal.
+// handoff runs the dispatch loop on this proc's stack and, unless the
+// proc's own wakeup comes next, parks it until Run resumes it. The caller
+// must have recorded the proc's parked state and any wakeup event before
+// calling. A killed proc unwinds via killSignal instead of parking again.
 func (p *Proc) handoff() {
-	if p.engine.dispatchFrom(p) {
-		return // our own wakeup was next; baton never left this goroutine
-	}
-	<-p.resume
 	if p.killed {
 		panic(killSignal)
 	}
-	p.state = stateRunning
+	if p.engine.dispatchFrom(p) {
+		return // our own wakeup was next; no switch needed
+	}
+	p.park(struct{}{})
+	if p.killed {
+		panic(killSignal)
+	}
 }
 
 // Env is the interface a proc body uses to interact with virtual time.
@@ -157,8 +162,8 @@ func (v *Env) Charge(d Duration) {
 		if e.canAdvanceTo(deadline) {
 			// Nothing can run before this quantum completes (the runnable
 			// set, and with it the dilation, cannot change without an
-			// event): advance time in place instead of a scheduler round
-			// trip through the event heap and two channel operations.
+			// event): advance time in place instead of a round trip
+			// through the event heap.
 			e.now = deadline
 			continue
 		}

@@ -3,8 +3,8 @@
 // The engine models a small multiprocessor: a fixed number of hardware CPU
 // contexts shared by an arbitrary number of simulated tasks ("procs"). Time
 // is virtual, measured in nanoseconds, and never coupled to the wall clock.
-// Procs run as real goroutines, but control is handed to exactly one proc at
-// a time, so execution order — and therefore every simulated timestamp — is
+// Procs run as runtime coroutines, and control is handed to exactly one proc
+// at a time, so execution order — and therefore every simulated timestamp — is
 // fully determined by the event heap and the seeds supplied by the caller.
 //
 // CPU contention uses a fluid processor-sharing model: when R procs are
