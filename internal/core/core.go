@@ -77,9 +77,10 @@ type SystemConfig struct {
 	// mismatch is a configuration error, not a silent re-layout. Zero
 	// accepts whatever fanout the workload was built with.
 	RegionPTEs int
-	// PageTable selects the page-table storage layout (auto, legacy AoS,
-	// or packed SoA bit planes). The zero value LayoutAuto picks packed
-	// whenever the fanout allows it.
+	// PageTable has a single value, pagetable.LayoutAuto, whose
+	// "PageTable:auto" text is part of every experiments cache key.
+	//
+	// Deprecated: ignored; the page table has one storage layout.
 	PageTable pagetable.Layout
 	// PageCache, when Enabled, gives file-backed mappings a real page
 	// cache: reads come from a dedicated file device instead of swap,
@@ -249,11 +250,14 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 	if sys.RegionPTEs > 0 && sys.RegionPTEs != w.RegionPTEs() {
 		return Metrics{}, &FanoutMismatchError{Want: sys.RegionPTEs, Have: w.RegionPTEs(), Workload: w.Name()}
 	}
+	if err := pagetable.CheckRegionPTEs(w.RegionPTEs()); err != nil {
+		return Metrics{}, fmt.Errorf("core: workload %s: %w", w.Name(), err)
+	}
 
 	eng := sim.NewEngine(sys.CPUs)
 	sysRNG := sim.NewRNG(systemSeed)
 
-	table := pagetable.NewWithLayout(w.TableRegions(), w.RegionPTEs(), sys.PageTable)
+	table := pagetable.NewWithRegionSize(w.TableRegions(), w.RegionPTEs())
 	w.Layout(table)
 	footprint := w.FootprintPages()
 	capacity := int(float64(footprint) * sys.Ratio)

@@ -195,6 +195,11 @@ func TestInvalidConfigRejected(t *testing.T) {
 	if _, err := RunTrial(tinyTPCH(), clockFactory, sys, 1, 1); err == nil {
 		t.Fatal("zero CPUs accepted")
 	}
+	cfg := tpch.DefaultConfig()
+	cfg.RegionPTEs = 100
+	if _, err := RunTrial(tpch.New(cfg), clockFactory, fastSys(), 1, 1); err == nil {
+		t.Fatal("region fanout 100 accepted")
+	}
 }
 
 func TestAllPolicyVariantsComplete(t *testing.T) {

@@ -7,18 +7,171 @@ import (
 )
 
 // fuzzRegions/fuzzPerRegion keep the fuzz table small enough that random
-// byte streams reach every region, while still packed-eligible (fanout a
-// multiple of 64).
+// byte streams reach every region, at the smallest legal fanout.
 const (
 	fuzzRegions   = 4
 	fuzzPerRegion = 64
 )
 
+// fuzzTable is the surface applyFuzzOp drives; both *Table and the
+// reference model implement it.
+type fuzzTable interface {
+	Pages() int
+	Regions() int
+	PTE(VPN) PTE
+	MapRange(VPN, int, bool)
+	Walk(VPN, bool) (mem.FrameID, bool)
+	Insert(VPN, mem.FrameID, bool)
+	InsertPrefetch(VPN, mem.FrameID)
+	Evict(VPN, int32) bool
+	TestAndClearAccessed(VPN) bool
+	HarvestRegion(int, func(VPN, mem.FrameID)) (int, int)
+	ReapRegion(int, func(VPN, int32)) int
+	AccessedDensity(int) (int, int)
+	RegionPresent(int) int
+	RegionSwapped(int) int
+}
+
+// refTable is the reference model: a dense array of PTE structs plus the
+// global and per-region counters, with every operation written the
+// obvious way. applyFuzzOp guards each call, so the model need not
+// reproduce the table's panics.
+type refTable struct {
+	perRegion         int
+	ptes              []PTE
+	regionPresent     []int
+	regionSwapped     []int
+	presentN, mappedN int
+}
+
+func newRefTable(regions, perRegion int) *refTable {
+	m := &refTable{
+		perRegion:     perRegion,
+		ptes:          make([]PTE, regions*perRegion),
+		regionPresent: make([]int, regions),
+		regionSwapped: make([]int, regions),
+	}
+	for i := range m.ptes {
+		m.ptes[i] = PTE{Frame: mem.NilFrame, Swap: NilSwap}
+	}
+	return m
+}
+
+func (m *refTable) Pages() int              { return len(m.ptes) }
+func (m *refTable) Regions() int            { return len(m.regionPresent) }
+func (m *refTable) PTE(vpn VPN) PTE         { return m.ptes[vpn] }
+func (m *refTable) RegionPresent(r int) int { return m.regionPresent[r] }
+func (m *refTable) RegionSwapped(r int) int { return m.regionSwapped[r] }
+func (m *refTable) region(r int) (VPN, []PTE) {
+	return VPN(r * m.perRegion), m.ptes[r*m.perRegion : (r+1)*m.perRegion]
+}
+
+func (m *refTable) MapRange(start VPN, n int, file bool) {
+	for i := 0; i < n; i++ {
+		p := &m.ptes[start+VPN(i)]
+		if !p.Mapped() {
+			m.mappedN++
+		}
+		p.Bits |= BitMapped
+		if file {
+			p.Bits |= BitFile
+		}
+	}
+}
+
+func (m *refTable) Walk(vpn VPN, write bool) (mem.FrameID, bool) {
+	p := &m.ptes[vpn]
+	if !p.Present() {
+		return mem.NilFrame, false
+	}
+	p.Bits |= BitAccessed
+	if write {
+		p.Bits |= BitDirty
+	}
+	return p.Frame, true
+}
+
+func (m *refTable) Insert(vpn VPN, f mem.FrameID, write bool) {
+	m.InsertPrefetch(vpn, f)
+	m.ptes[vpn].Bits |= BitAccessed
+	if write {
+		m.ptes[vpn].Bits |= BitDirty
+	}
+}
+
+func (m *refTable) InsertPrefetch(vpn VPN, f mem.FrameID) {
+	m.ptes[vpn].Frame = f
+	m.ptes[vpn].Bits |= BitPresent
+	m.presentN++
+	m.regionPresent[int(vpn)/m.perRegion]++
+}
+
+func (m *refTable) Evict(vpn VPN, slot int32) bool {
+	p := &m.ptes[vpn]
+	r := int(vpn) / m.perRegion
+	if p.Swap == NilSwap && slot != NilSwap {
+		m.regionSwapped[r]++
+	} else if p.Swap != NilSwap && slot == NilSwap {
+		m.regionSwapped[r]--
+	}
+	dirty := p.Dirty()
+	p.Frame, p.Swap = mem.NilFrame, slot
+	p.Bits &^= BitPresent | BitAccessed | BitDirty
+	m.presentN--
+	m.regionPresent[r]--
+	return dirty
+}
+
+func (m *refTable) TestAndClearAccessed(vpn VPN) bool {
+	was := m.ptes[vpn].Accessed()
+	m.ptes[vpn].Bits &^= BitAccessed
+	return was
+}
+
+func (m *refTable) HarvestRegion(r int, fn func(VPN, mem.FrameID)) (present, accessed int) {
+	start, ptes := m.region(r)
+	for i := range ptes {
+		if ptes[i].Present() && ptes[i].Accessed() {
+			accessed++
+			ptes[i].Bits &^= BitAccessed
+			fn(start+VPN(i), ptes[i].Frame)
+		}
+	}
+	return m.regionPresent[r], accessed
+}
+
+func (m *refTable) ReapRegion(r int, fn func(VPN, int32)) int {
+	start, ptes := m.region(r)
+	reaped := 0
+	for i := range ptes {
+		if slot := ptes[i].Swap; slot != NilSwap {
+			ptes[i].Swap = NilSwap
+			reaped++
+			fn(start+VPN(i), slot)
+		}
+	}
+	m.regionSwapped[r] -= reaped
+	return reaped
+}
+
+func (m *refTable) AccessedDensity(r int) (present, accessed int) {
+	_, ptes := m.region(r)
+	for _, p := range ptes {
+		if p.Present() {
+			present++
+			if p.Accessed() {
+				accessed++
+			}
+		}
+	}
+	return present, accessed
+}
+
 // applyFuzzOp decodes one operation from (op, a, b) and applies it to t.
-// The legacy table decides validity — both tables get the identical call
-// sequence, so guards read the same either way. Returns a small result
+// Guards read the target's own state; the model and the table get the
+// identical call sequence as long as they agree. Returns a small result
 // fingerprint so the caller can diff observable behaviour per-op.
-func applyFuzzOp(t *Table, op, a, b byte, slot int32) (r1, r2 int64) {
+func applyFuzzOp(t fuzzTable, op, a, b byte, slot int32) (r1, r2 int64) {
 	pages := VPN(t.Pages())
 	vpn := VPN(a) % pages
 	region := int(a) % t.Regions()
@@ -86,59 +239,59 @@ func applyFuzzOp(t *Table, op, a, b byte, slot int32) (r1, r2 int64) {
 	return r1, r2
 }
 
-// diffTables fails the test at the first observable divergence between the
-// legacy and packed tables: global counters, then every PTE snapshot and
-// live accessor, then the per-region counters.
-func diffTables(t *testing.T, legacy, packed *Table, step int) {
+// diffTables fails the test at the first observable divergence between
+// the reference model and the table: global counters, then every PTE
+// snapshot and live accessor, then the per-region counters.
+func diffTables(t *testing.T, ref *refTable, tb *Table, step int) {
 	t.Helper()
-	if legacy.PresentPages() != packed.PresentPages() || legacy.MappedPages() != packed.MappedPages() {
-		t.Fatalf("step %d: global counters diverge: legacy present=%d mapped=%d, packed present=%d mapped=%d",
-			step, legacy.PresentPages(), legacy.MappedPages(), packed.PresentPages(), packed.MappedPages())
+	if ref.presentN != tb.PresentPages() || ref.mappedN != tb.MappedPages() {
+		t.Fatalf("step %d: global counters diverge: model present=%d mapped=%d, table present=%d mapped=%d",
+			step, ref.presentN, ref.mappedN, tb.PresentPages(), tb.MappedPages())
 	}
-	for vpn := VPN(0); vpn < VPN(legacy.Pages()); vpn++ {
-		lp, pp := legacy.PTE(vpn), packed.PTE(vpn)
-		if lp != pp {
-			t.Fatalf("step %d: PTE(%d) diverges: legacy %+v, packed %+v", step, vpn, lp, pp)
+	for vpn := VPN(0); vpn < VPN(ref.Pages()); vpn++ {
+		rp, tp := ref.PTE(vpn), tb.PTE(vpn)
+		if rp != tp {
+			t.Fatalf("step %d: PTE(%d) diverges: model %+v, table %+v", step, vpn, rp, tp)
 		}
-		if legacy.IsPresent(vpn) != packed.IsPresent(vpn) ||
-			legacy.SwapOf(vpn) != packed.SwapOf(vpn) ||
-			legacy.FileBacked(vpn) != packed.FileBacked(vpn) ||
-			legacy.FrameOf(vpn) != packed.FrameOf(vpn) {
+		if rp.Present() != tb.IsPresent(vpn) ||
+			rp.Swap != tb.SwapOf(vpn) ||
+			rp.File() != tb.FileBacked(vpn) ||
+			rp.Frame != tb.FrameOf(vpn) {
 			t.Fatalf("step %d: accessors diverge at vpn %d", step, vpn)
 		}
 	}
-	for r := 0; r < legacy.Regions(); r++ {
-		if legacy.RegionPresent(r) != packed.RegionPresent(r) || legacy.RegionSwapped(r) != packed.RegionSwapped(r) {
-			t.Fatalf("step %d: region %d counters diverge: legacy (%d,%d), packed (%d,%d)", step, r,
-				legacy.RegionPresent(r), legacy.RegionSwapped(r), packed.RegionPresent(r), packed.RegionSwapped(r))
+	for r := 0; r < ref.Regions(); r++ {
+		if ref.RegionPresent(r) != tb.RegionPresent(r) || ref.RegionSwapped(r) != tb.RegionSwapped(r) {
+			t.Fatalf("step %d: region %d counters diverge: model (%d,%d), table (%d,%d)", step, r,
+				ref.RegionPresent(r), ref.RegionSwapped(r), tb.RegionPresent(r), tb.RegionSwapped(r))
 		}
 	}
 }
 
-// FuzzPackedVsLegacy drives the identical operation stream — maps, walks,
-// inserts, evictions, harvests, reaps — through a legacy AoS table and a
-// packed SoA table and requires bit-exact agreement after every step: op
-// results (including harvest/reap callback order), every PTE snapshot,
-// every accessor, and all counters. The legacy layout is the reference
-// model; any divergence is a packed bit-plane bug.
-func FuzzPackedVsLegacy(f *testing.F) {
+// FuzzTableVsModel drives the identical operation stream — maps, walks,
+// inserts, evictions, harvests, reaps — through the bit-plane table and
+// the dense reference model and requires bit-exact agreement after every
+// step: op results (including harvest/reap callback order), every PTE
+// snapshot, every accessor, and all counters. Any divergence is a
+// bit-plane bug.
+func FuzzTableVsModel(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 1, 0, 0, 2, 0, 3, 1, 0, 1, 4, 0, 0, 6, 0, 0})
 	f.Add([]byte{0, 128, 200, 2, 130, 7, 4, 130, 0, 7, 130, 0, 9, 2, 0})
 	f.Add([]byte{0, 0, 255, 0, 64, 255, 2, 5, 1, 5, 5, 0, 8, 1, 0, 6, 0, 0, 7, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		legacy := NewWithLayout(fuzzRegions, fuzzPerRegion, LayoutLegacy)
-		packed := NewWithLayout(fuzzRegions, fuzzPerRegion, LayoutPacked)
+		ref := newRefTable(fuzzRegions, fuzzPerRegion)
+		tb := NewWithRegionSize(fuzzRegions, fuzzPerRegion)
 		slot := int32(1)
 		for i := 0; i+2 < len(data); i += 3 {
 			op, a, b := data[i], data[i+1], data[i+2]
-			l1, l2 := applyFuzzOp(legacy, op, a, b, slot)
-			p1, p2 := applyFuzzOp(packed, op, a, b, slot)
+			m1, m2 := applyFuzzOp(ref, op, a, b, slot)
+			t1, t2 := applyFuzzOp(tb, op, a, b, slot)
 			slot++
-			if l1 != p1 || l2 != p2 {
-				t.Fatalf("step %d (op %d a %d b %d): results diverge: legacy (%d,%d), packed (%d,%d)",
-					i/3, op%10, a, b, l1, l2, p1, p2)
+			if m1 != t1 || m2 != t2 {
+				t.Fatalf("step %d (op %d a %d b %d): results diverge: model (%d,%d), table (%d,%d)",
+					i/3, op%10, a, b, m1, m2, t1, t2)
 			}
-			diffTables(t, legacy, packed, i/3)
+			diffTables(t, ref, tb, i/3)
 		}
 	})
 }

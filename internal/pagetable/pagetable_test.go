@@ -140,6 +140,19 @@ func TestCustomRegionSize(t *testing.T) {
 	}
 }
 
+func TestRegionSizeMustBeWholeWords(t *testing.T) {
+	for _, perRegion := range []int{100, 8, 0, -64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewWithRegionSize(4, %d) did not panic", perRegion)
+				}
+			}()
+			NewWithRegionSize(4, perRegion)
+		}()
+	}
+}
+
 func TestAccessedDensity(t *testing.T) {
 	tb := New(1)
 	tb.MapRange(0, PTEsPerRegion, false)

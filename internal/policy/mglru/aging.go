@@ -114,9 +114,8 @@ func (g *MGLRU) shouldScan(r int) bool {
 // Shared by the aging walk and the eviction thread's spatial scan.
 //
 // The harvest itself is the table's HarvestRegion — a word-masked bitset
-// iteration on the packed layout, a direct slice loop on the legacy one —
-// which visits present-and-accessed pages in ascending VPN order, the
-// order the historical PTE-slice loop promoted in.
+// iteration — which visits present-and-accessed pages in ascending VPN
+// order, the order the historical PTE-slice loop promoted in.
 func (g *MGLRU) scanRegion(v *sim.Env, r int, target uint64) {
 	table := g.k.Table()
 	present, accessed := table.HarvestRegion(r, func(_ pagetable.VPN, f mem.FrameID) {
