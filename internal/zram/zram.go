@@ -7,72 +7,161 @@
 // The compressor is functional — it round-trips real bytes — so the
 // compressed-size accounting that drives ZRAM capacity behaviour is
 // measured, not assumed.
+//
+// The encoder scans a 64-bit word at a time. To find the next run it
+// tests the five 4-byte windows that fit in one little-endian load with
+// SWAR (SIMD within a register) byte-equality masks, and it measures a
+// run by XORing words with the run byte repeated eight times and counting
+// trailing zero bits. Its output is byte-identical to the obvious byte
+// loop (measure the run at i; emit it if it has 4 or more bytes, else
+// skip it as literal bytes). From any i, the first window p ≥ i whose
+// four bytes are equal is exactly where that loop emits its next run:
+// either p == i, or src[p-1] != src[p], since otherwise the window at p-1
+// would have matched first, so the loop's short runs tile [i, p) and
+// its next measurement starts at p.
 package zram
 
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
+)
+
+// Token layout limits.
+const (
+	minRun = 4   // shortest run emitted as a run token
+	maxRun = 259 // longest run one token holds: count-4 fits a byte
+	maxLit = 256 // longest literal chunk one token holds: count-1 fits a byte
 )
 
 // Compress encodes src with a byte-oriented RLE scheme:
 //
-//	token 0x00, count-1, value      -> run of count (4..259) repeated bytes
+//	token 0x00, count-4, value      -> run of count (4..259) repeated bytes
 //	token 0x01, count-1, bytes...   -> literal run of count (1..256) bytes
 //
-// Runs shorter than 4 are folded into literals. The output is never more
-// than src length + 2*(len/256+1) bytes.
+// Runs shorter than 4 are folded into literals. The output of n input
+// bytes is never more than n + n/5 + 2 bytes. The encoding splits src
+// into runs of 4 or more bytes, each with the literal stretch before it,
+// and one final literal stretch. A literal stretch of L bytes costs L
+// bytes plus a 2-byte header per chunk of at most 256, and a run token
+// costs 3 bytes whatever its length. A stretch of L ≥ 1 literals followed
+// by a run of R ≥ 4 therefore costs L + 2⌈L/256⌉ + 3 ≤ 6(L+R)/5: equality
+// holds only at L = 1, R = 4, six output bytes for five input bytes
+// ({1,2,2,2,2} repeated). A run with no literals before it costs 3 ≤
+// 6R/5. The final stretch of T literals costs T + 2⌈T/256⌉ ≤ 6T/5 + 2.
+// Summed, the output is at most 6n/5 + 2 bytes.
 func Compress(src []byte) []byte { return AppendCompress(nil, src) }
 
 // AppendCompress appends the compressed encoding of src to dst and returns
 // the extended slice, letting hot callers reuse one scratch buffer instead
 // of allocating per page write.
 func AppendCompress(dst, src []byte) []byte {
-	out := dst
-	if out == nil {
-		out = make([]byte, 0, len(src)/4+16)
+	if dst == nil {
+		dst = make([]byte, 0, len(src)/4+16)
 	}
-	i := 0
-	litStart := -1
-	flushLits := func(end int) {
-		for litStart >= 0 && litStart < end {
-			n := end - litStart
-			if n > 256 {
-				n = 256
-			}
-			out = append(out, 0x01, byte(n-1))
-			out = append(out, src[litStart:litStart+n]...)
-			litStart += n
+	for i := 0; i < len(src); {
+		p := nextRun(src, i)
+		dst = appendLiterals(dst, src[i:p])
+		if p == len(src) {
+			break
 		}
-		litStart = -1
-	}
-	for i < len(src) {
-		// Measure run length at i.
-		j := i + 1
-		for j < len(src) && src[j] == src[i] && j-i < 259 {
-			j++
-		}
-		if j-i >= 4 {
-			flushLits(i)
-			out = append(out, 0x00, byte(j-i-4), src[i])
-			i = j
-			continue
-		}
-		if litStart < 0 {
-			litStart = i
-		}
+		j := runEnd(src, p)
+		dst = append(dst, 0x00, byte(j-p-minRun), src[p])
 		i = j
 	}
-	flushLits(len(src))
-	return out
+	return dst
+}
+
+// Word-at-a-time constants: lsb repeats a byte eight times; low7 masks
+// the low seven bits of every byte.
+const (
+	lsb  = 0x0101010101010101
+	low7 = 0x7f7f7f7f7f7f7f7f
+)
+
+// zeroBytes returns x with the high bit of each byte set exactly where
+// that byte of x is zero, and every other bit clear. Adding 0x7f to a
+// byte's low seven bits never carries into the next byte, so unlike the
+// borrow-based haszero test it has no false positives above a true zero.
+func zeroBytes(x uint64) uint64 {
+	return ^((x&low7 + low7) | x | low7)
+}
+
+// nextRun returns the first p ≥ i with src[p] == src[p+1] == src[p+2] ==
+// src[p+3], or len(src) if there is none.
+func nextRun(src []byte, i int) int {
+	for ; i+8 <= len(src); i += 5 {
+		// Byte k of e is zero iff src[i+k] == src[i+k+1], so byte k of d
+		// is zero iff the window at i+k is one byte repeated. The mask
+		// keeps the five windows k = 0..4 that fit in w; bytes 5..7 of d
+		// compare against the zeros the shifts pull in.
+		w := binary.LittleEndian.Uint64(src[i:])
+		e := w ^ w>>8
+		d := e | e>>8 | e>>16
+		if z := zeroBytes(d) & (1<<40 - 1); z != 0 {
+			return i + bits.TrailingZeros64(z)>>3
+		}
+	}
+	for ; i+minRun <= len(src); i++ {
+		if b := src[i]; src[i+1] == b && src[i+2] == b && src[i+3] == b {
+			return i
+		}
+	}
+	return len(src)
+}
+
+// runEnd returns the end of the run of src[p] that starts at p, capped at
+// p+maxRun. The caller has checked src[p:p+minRun] are equal.
+func runEnd(src []byte, p int) int {
+	limit := min(p+maxRun, len(src))
+	rep := uint64(src[p]) * lsb
+	j := p + minRun
+	for j+8 <= len(src) {
+		if x := binary.LittleEndian.Uint64(src[j:]) ^ rep; x != 0 {
+			return min(j+bits.TrailingZeros64(x)>>3, limit)
+		}
+		j += 8
+		if j >= limit {
+			return limit
+		}
+	}
+	for j < limit && src[j] == src[p] {
+		j++
+	}
+	return j
+}
+
+// appendLiterals appends lit as literal tokens of at most maxLit bytes.
+func appendLiterals(dst, lit []byte) []byte {
+	for len(lit) > 0 {
+		n := min(len(lit), maxLit)
+		dst = append(dst, 0x01, byte(n-1))
+		dst = append(dst, lit[:n]...)
+		lit = lit[n:]
+	}
+	return dst
 }
 
 // ErrCorrupt reports malformed compressed data.
 var ErrCorrupt = errors.New("zram: corrupt compressed stream")
 
 // Decompress decodes data produced by Compress into dst, which must be
-// exactly the original length. It returns ErrCorrupt on malformed input.
+// exactly the original length. It returns ErrCorrupt on malformed input,
+// and on any well-formed stream that Compress would not have produced:
+// a short literal chunk followed by another literal, an equal 4-byte
+// window inside a literal stretch, or a literal or run that continues the
+// byte of a run shorter than the cap. A nil error therefore means
+// Compress(dst) reproduces data exactly.
 func Decompress(data []byte, dst []byte) error {
 	di := 0
+	litStart := -1 // dst offset of the open literal stretch, or -1
+	lastLit := 0   // length of the latest literal chunk
+	lastRun := 0   // length of the previous token if it was a run, else 0
+	// continuesRun reports whether byte b extends a run that Compress
+	// would have made longer.
+	continuesRun := func(b byte) bool {
+		return lastRun > 0 && lastRun < maxRun && dst[di-1] == b
+	}
 	i := 0
 	for i < len(data) {
 		if i+1 >= len(data) {
@@ -83,27 +172,45 @@ func Decompress(data []byte, dst []byte) error {
 			if i+2 >= len(data) {
 				return ErrCorrupt
 			}
-			n := int(data[i+1]) + 4
+			n := int(data[i+1]) + minRun
 			v := data[i+2]
-			if di+n > len(dst) {
+			if di+n > len(dst) || continuesRun(v) {
 				return ErrCorrupt
+			}
+			if litStart >= 0 {
+				lit := dst[litStart:di]
+				if nextRun(lit, 0) != len(lit) || lit[len(lit)-1] == v {
+					return ErrCorrupt
+				}
+				litStart = -1
 			}
 			for k := 0; k < n; k++ {
 				dst[di+k] = v
 			}
 			di += n
+			lastRun = n
 			i += 3
 		case 0x01:
 			n := int(data[i+1]) + 1
 			if i+2+n > len(data) || di+n > len(dst) {
 				return ErrCorrupt
 			}
+			if (litStart >= 0 && lastLit != maxLit) || continuesRun(data[i+2]) {
+				return ErrCorrupt
+			}
+			if litStart < 0 {
+				litStart = di
+			}
 			copy(dst[di:di+n], data[i+2:i+2+n])
 			di += n
+			lastLit, lastRun = n, 0
 			i += 2 + n
 		default:
 			return ErrCorrupt
 		}
+	}
+	if litStart >= 0 && nextRun(dst[litStart:di], 0) != di-litStart {
+		return ErrCorrupt
 	}
 	if di != len(dst) {
 		return ErrCorrupt
