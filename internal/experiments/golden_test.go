@@ -17,14 +17,21 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden figure 
 // manager, or the harness — run with -update-golden after verifying the
 // change is intended, and say why in the commit.
 //
+// ext1 and ext3 pin the fault plane: ext1 is the only figure with
+// swap-targeted fault plans and ext3 the only one with file-targeted plans.
+//
 // The reduced parameters (2 trials, 0.2 scale) keep this at a couple of
 // seconds; the full 25-trial output lives in testdata/figures_full.txt.
 func TestGoldenFigures(t *testing.T) {
 	r := NewRunner(Options{Trials: 2, Scale: 0.2, Seed: 0x5EED, Parallelism: 2})
 
 	var b strings.Builder
-	for _, id := range []string{"fig1", "fig2"} {
-		res, err := Figures[id](r)
+	for _, id := range []string{"fig1", "fig2", "ext1", "ext3"} {
+		fn, ok := Figures[id]
+		if !ok {
+			fn = Extensions[id]
+		}
+		res, err := fn(r)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
