@@ -365,25 +365,3 @@ func BenchmarkAblationSwapLatencySweep(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkTieringPolicies compares page-migration policies over a
-// two-tier memory (the paper's §II-C landscape): static placement,
-// AutoNUMA-style sampling without demotion, and Clock-based TPP.
-func BenchmarkTieringPolicies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, name := range []string{"static", "autonuma", "tpp"} {
-			res, err := mglrusim.RunTieringTrial(mglrusim.TieringTrialConfig{
-				Policy:    name,
-				Footprint: 2048,
-				FastPages: 512,
-				SlowPages: 1664,
-				Touches:   100000,
-				Seed:      uint64(i) + 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.FastHitRatio, "fasthit-"+name)
-		}
-	}
-}
