@@ -147,11 +147,6 @@ type Metrics struct {
 	FileDevice swap.Stats
 }
 
-// The page cache detects recoverable-I/O devices structurally (it cannot
-// import the fault package); this pin keeps the wrapper satisfying that
-// contract.
-var _ pagecache.FallibleDevice = (*fault.Device)(nil)
-
 // LivelockError reports a trial whose workload made no progress for a
 // full watchdog window: the virtual system is livelocked (or stalled past
 // any plausible I/O time) and would otherwise simulate forever. The
@@ -277,7 +272,8 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 	// The fault wrapper and its RNG streams exist only when the plan
 	// injects device faults at this device, so a disabled (or
 	// elsewhere-targeted) plan leaves the un-faulted stream sequence —
-	// and with it every metric — untouched.
+	// and with it every metric — untouched. A hard error from the
+	// wrapper fails the trial in vmm; swap readahead is never failed.
 	var fdev *fault.Device
 	if sys.Fault.DeviceEnabled() && sys.Fault.TargetsSwap() {
 		var backing swap.Device
@@ -299,8 +295,9 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 	// cache exists only when enabled AND the workload maps file pages, so
 	// anon-only runs keep their exact historical event order. A
 	// file-targeted fault plan wraps the backing device on its own RNG
-	// stream; the cache detects the wrapper (FallibleDevice) and degrades
-	// kernel-fashion instead of letting hard errors kill the trial.
+	// stream (WrapFile: readahead draws an error coin too); the cache
+	// degrades kernel-fashion on the errors it returns instead of failing
+	// the trial.
 	var fc *pagecache.Cache
 	var ffdev *fault.Device
 	if sys.PageCache.Enabled {
@@ -313,7 +310,7 @@ func RunTrialOpts(w workload.Workload, mk PolicyFactory, sys SystemConfig,
 			// and gating on targeting alone keeps the install decision
 			// independent of which knobs the plan happens to set.
 			if sys.Fault.TargetsFile() {
-				ffdev = fault.Wrap(filedev, sys.Fault, nil, sysRNG.Stream(7))
+				ffdev = fault.WrapFile(filedev, sys.Fault, sysRNG.Stream(7))
 				filedev = ffdev
 			}
 			fc = pagecache.New(sys.PageCache, eng, table, memory, filedev, spans)

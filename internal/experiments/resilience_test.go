@@ -13,6 +13,7 @@ import (
 	"mglrusim/internal/policy"
 	"mglrusim/internal/policy/clock"
 	"mglrusim/internal/sim"
+	"mglrusim/internal/telemetry"
 	"mglrusim/internal/vmm"
 )
 
@@ -194,6 +195,41 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	var hard *fault.HardError
 	if !errors.As(err, &hard) {
 		t.Fatalf("error chain lost the typed cause: %v", err)
+	}
+}
+
+// TestSwapHardReadErrorFailsTrial sends a real injected swap read error
+// through the memory manager: every swap read fails, so the first major
+// fault exhausts its retry budget, the device returns the *HardError and
+// vmm fails the trial with it. The error must keep its type through the
+// engine's wrap chain so the harness retries the trial with a fresh seed.
+// A failed trial returns no Metrics, so the injected hard read errors
+// (Injected.HardReadErrors) are counted on the fault plane's trace lane.
+func TestSwapHardReadErrorFailsTrial(t *testing.T) {
+	sys := SystemAt(0.5, core.SwapSSD)
+	sys.Fault = fault.Plan{ReadErrors: fault.ReadErrorConfig{Prob: 1, MaxRetries: 2, Backoff: sim.Microsecond}}
+	tr := telemetry.New(telemetry.Config{})
+	_, err := core.RunTrialOpts(WorkloadByName("ycsb-c", 0.1).Make(), PolicyByName(PolClock).Make,
+		sys, 0xABC, 1, core.TrialOptions{Telemetry: tr})
+	var hard *fault.HardError
+	if !errors.As(err, &hard) {
+		t.Fatalf("trial error %v, want a *fault.HardError", err)
+	}
+	if hard.Op != "read" || hard.Attempts != 3 { // initial read + 2 retries
+		t.Fatalf("hard = %+v, want op=read attempts=3", hard)
+	}
+	if !Retryable(err) {
+		t.Fatalf("swap hard error not classified retryable: %v", err)
+	}
+	var trace bytes.Buffer
+	if err := tr.WriteTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("trace dropped %d events; the count below would be partial", tr.Dropped())
+	}
+	if n := bytes.Count(trace.Bytes(), []byte(`"name":"hard-read-error"`)); n != 1 {
+		t.Fatalf("fault plane injected %d hard read errors, want 1", n)
 	}
 }
 

@@ -50,8 +50,9 @@ func (s *stormClock) at(now sim.Time) (active, stall bool, end sim.Time, began, 
 }
 
 // Device wraps a swap.Device and injects the plan's device-level faults.
-// It implements swap.Device, so the memory manager is oblivious to it.
-// All injection randomness comes from its own RNG stream, drawn in
+// It implements swap.Device: an exhausted retry budget comes back from
+// ReadPage or WritePage as a *HardError, and the consumer decides what it
+// means. All injection randomness comes from its own RNG stream, drawn in
 // operation order — never from the wrapped device's stream — so enabling
 // a sub-fault does not perturb the inner device's jitter sequence.
 type Device struct {
@@ -60,6 +61,11 @@ type Device struct {
 	plan    Plan
 	rng     *sim.RNG
 	storm   stormClock
+
+	// prefetchErrors gives each speculative read one ReadErrors coin. Only
+	// the file-device wrapper (WrapFile) sets it: swap readahead is never
+	// failed.
+	prefetchErrors bool
 
 	// writtenBack marks slots whose latest copy lives on the backing SSD
 	// rather than in the wrapped device.
@@ -89,9 +95,10 @@ func (d *Device) SetTracer(tr *telemetry.Tracer) {
 	}
 }
 
-// Wrap applies plan to inner. backing is the writeback SSD for zram pool
-// pressure; pass nil when the plan has no writeback. rng must be a
-// dedicated stream.
+// Wrap applies plan to the swap device inner. backing is the writeback
+// SSD for zram pool pressure; pass nil when the plan has no writeback.
+// rng must be a dedicated stream. PrefetchPage never fails and draws no
+// RNG, so swap readahead behaves as on an un-faulted device.
 func Wrap(inner swap.Device, plan Plan, backing swap.Device, rng *sim.RNG) *Device {
 	d := &Device{
 		inner:       inner,
@@ -105,6 +112,16 @@ func Wrap(inner swap.Device, plan Plan, backing swap.Device, rng *sim.RNG) *Devi
 	if plan.NeedsBacking() && backing != nil {
 		d.writtenBack = make(map[swap.Slot]struct{}, 256)
 	}
+	return d
+}
+
+// WrapFile applies plan to the page cache's file backing device inner.
+// Unlike Wrap, each PrefetchPage draws one ReadErrors coin, so file
+// readahead fails the way the kernel's does. rng must be a dedicated
+// stream.
+func WrapFile(inner swap.Device, plan Plan, rng *sim.RNG) *Device {
+	d := Wrap(inner, plan, nil, rng)
+	d.prefetchErrors = true
 	return d
 }
 
@@ -149,35 +166,26 @@ func (d *Device) stormDelay(v *sim.Env) {
 
 // readFrom routes a read to the backing SSD when the slot's latest copy
 // was written back there.
-func (d *Device) readFrom(v *sim.Env, slot swap.Slot, vpn int64, version uint32) {
+func (d *Device) readFrom(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
 	if _, ok := d.writtenBack[slot]; ok {
 		d.stats.WritebackReads++
-		d.backing.ReadPage(v, slot, vpn, version)
-		return
+		return d.backing.ReadPage(v, slot, vpn, version)
 	}
-	d.inner.ReadPage(v, slot, vpn, version)
+	return d.inner.ReadPage(v, slot, vpn, version)
 }
 
 // ReadPage implements Device: storm delay, then the inner read, retried
 // with exponential backoff on injected transient errors. Exhausting the
-// retry budget panics a *HardError, failing the trial the way an
-// uncorrectable media error fails a real swap-in. Consumers that can
-// degrade instead (the page cache) call ReadPageErr.
-func (d *Device) ReadPage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) {
-	if err := d.ReadPageErr(v, slot, vpn, version); err != nil {
-		panic(err)
-	}
-}
-
-// ReadPageErr performs the faulted read and returns the *HardError (as an
-// error) when the retry budget is exhausted, instead of panicking. RNG
-// draws and timing are identical to ReadPage up to the point of failure.
-func (d *Device) ReadPageErr(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
+// retry budget returns a *HardError; an error from the wrapped or backing
+// device is returned as is.
+func (d *Device) ReadPage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
 	d.stormDelay(v)
 	cfg := d.plan.ReadErrors
 	backoff := cfg.Backoff
 	for attempt := 0; ; attempt++ {
-		d.readFrom(v, slot, vpn, version)
+		if err := d.readFrom(v, slot, vpn, version); err != nil {
+			return err
+		}
 		if !cfg.Enabled() || !d.rng.Bool(cfg.Prob) {
 			return nil
 		}
@@ -185,8 +193,8 @@ func (d *Device) ReadPageErr(v *sim.Env, slot swap.Slot, vpn int64, version uint
 		if attempt >= cfg.MaxRetries {
 			d.stats.HardReadErrors++
 			if d.tr != nil {
-				// Newest flight-recorder entry when the HardError unwinds
-				// (or, on the degradation path, when the page is poisoned).
+				// Newest flight-recorder entry when the memory manager
+				// fails the trial (or when the page cache poisons the page).
 				d.tr.Instant(d.trTrack, "hard-read-error", int64(slot))
 			}
 			return &HardError{Device: d.inner.Name(), Op: "read", Slot: slot, Attempts: attempt + 1}
@@ -214,19 +222,9 @@ func (d *Device) overLimit() bool {
 // WritePage implements Device: storm delay, then either the inner write
 // or — when the compressed pool is over its mem limit — a writeback to
 // the backing SSD or a reclaim stall. Injected write errors past the
-// retry budget panic a *HardError; consumers that can degrade instead
-// (page-cache writeback into the error ledger) call WritePageErr.
-func (d *Device) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) {
-	if err := d.WritePageErr(v, slot, vpn, version); err != nil {
-		panic(err)
-	}
-}
-
-// WritePageErr performs the faulted write and returns the *HardError (as
-// an error) when the write-retry budget is exhausted, instead of
-// panicking. With WriteErrors unconfigured no coins are flipped and the
-// behaviour is byte-identical to the pre-write-error WritePage.
-func (d *Device) WritePageErr(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
+// retry budget return a *HardError; with WriteErrors unconfigured no
+// coins are flipped. An error from the write target is returned as is.
+func (d *Device) WritePage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
 	d.stormDelay(v)
 	target := d.inner
 	if d.overLimit() {
@@ -258,7 +256,9 @@ func (d *Device) WritePageErr(v *sim.Env, slot swap.Slot, vpn int64, version uin
 	cfg := d.plan.WriteErrors
 	backoff := cfg.Backoff
 	for attempt := 0; ; attempt++ {
-		target.WritePage(v, slot, vpn, version)
+		if err := target.WritePage(v, slot, vpn, version); err != nil {
+			return err
+		}
 		if !cfg.Enabled() || !d.rng.Bool(cfg.Prob) {
 			return nil
 		}
@@ -286,22 +286,21 @@ func (d *Device) WritePageErr(v *sim.Env, slot swap.Slot, vpn int64, version uin
 // PrefetchPage implements Device. Readahead rides the anchoring demand
 // read's I/O, which already paid the storm delay, so only routing
 // applies: written-back slots decompress-free but pay the backing SSD's
-// per-page completion cost.
-func (d *Device) PrefetchPage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) {
+// per-page completion cost. A file-device wrapper (WrapFile) then flips a
+// single transient-error coin: speculative I/O gets no retry budget (the
+// kernel never retries readahead), so one failed flip abandons the
+// prefetch. Callers must not treat the error as fatal.
+func (d *Device) PrefetchPage(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
+	var err error
 	if _, ok := d.writtenBack[slot]; ok {
 		d.stats.WritebackReads++
-		d.backing.PrefetchPage(v, slot, vpn, version)
-		return
+		err = d.backing.PrefetchPage(v, slot, vpn, version)
+	} else {
+		err = d.inner.PrefetchPage(v, slot, vpn, version)
 	}
-	d.inner.PrefetchPage(v, slot, vpn, version)
-}
-
-// PrefetchPageErr is PrefetchPage plus a single transient-error coin:
-// speculative I/O gets no retry budget (the kernel never retries
-// readahead), so one failed flip abandons the prefetch. Callers must not
-// treat the error as fatal — readahead failures fail nothing.
-func (d *Device) PrefetchPageErr(v *sim.Env, slot swap.Slot, vpn int64, version uint32) error {
-	d.PrefetchPage(v, slot, vpn, version)
+	if err != nil || !d.prefetchErrors {
+		return err
+	}
 	cfg := d.plan.ReadErrors
 	if cfg.Enabled() && d.rng.Bool(cfg.Prob) {
 		d.stats.PrefetchErrors++

@@ -4,7 +4,7 @@
 // retry + exponential backoff, zram pool mem-limit exhaustion with
 // writeback-to-SSD fallback or reclaim stall, and swap-area exhaustion
 // (which drives the OOM-killer model in internal/vmm) — and Wrap applies
-// it to any swap.Device.
+// it to the swap device, WrapFile to the page cache's file device.
 //
 // Everything is seeded: storm arrival times, storm durations, per-I/O
 // extra latency, and read-error coin flips all draw from one RNG stream in
@@ -212,11 +212,11 @@ func (s *Stats) Add(other Stats) {
 }
 
 // HardError is an unrecoverable injected device error: an I/O whose retry
-// budget is exhausted. On the swap path it is panicked from the device
-// model, surfaces as the trial error, and is classified as
-// retryable-with-a-fresh-seed by the experiment harness. The page cache
-// instead absorbs it into a kernel-faithful degradation path (poisoned
-// page / error ledger) and the trial continues.
+// budget is exhausted, returned by the wrapper's ReadPage or WritePage.
+// On the swap path the memory manager fails the trial with it, and the
+// experiment harness classifies it as retryable-with-a-fresh-seed. The
+// page cache instead absorbs it into a kernel-faithful degradation path
+// (poisoned page / error ledger) and the trial continues.
 type HardError struct {
 	Device   string
 	Op       string // "read" or "write"; empty means "read" (legacy)

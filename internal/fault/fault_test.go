@@ -26,7 +26,9 @@ func stormScenario(t *testing.T, seed uint64, plan Plan) ([]sim.Time, Stats) {
 	var ends []sim.Time
 	e.Spawn("reader", false, func(v *sim.Env) {
 		for i := 0; i < 200; i++ {
-			d.ReadPage(v, swap.Slot(i%8), int64(i), 0)
+			if err := d.ReadPage(v, swap.Slot(i%8), int64(i), 0); err != nil {
+				t.Errorf("read %d: %v", i, err)
+			}
 			ends = append(ends, v.Now())
 		}
 	})
@@ -117,25 +119,28 @@ func TestTransientReadErrorsRetry(t *testing.T) {
 	}
 }
 
-// TestHardReadErrorFailsTrial: exhausting the retry budget panics a
-// *HardError that surfaces as the engine's run error, preserving the
-// typed cause through the wrap chain (the harness' retry classifier
-// depends on errors.As finding it).
+// TestHardReadErrorFailsTrial: exhausting the retry budget makes ReadPage
+// return a *HardError — the device itself never panics; the memory
+// manager turns the returned error into the trial failure (the end-to-end
+// path is tested in internal/experiments).
 func TestHardReadErrorFailsTrial(t *testing.T) {
 	e := sim.NewEngine(2)
 	rng := sim.NewRNG(4)
 	plan := Plan{ReadErrors: ReadErrorConfig{Prob: 1, MaxRetries: 2, Backoff: sim.Microsecond}}
 	d := Wrap(swap.NewSSD(ssdCfg(), e, rng.Stream(1)), plan, nil, rng.Stream(2))
+	var err error
 	e.Spawn("reader", false, func(v *sim.Env) {
-		d.ReadPage(v, 0, 1, 0)
+		err = d.ReadPage(v, 0, 1, 0)
 	})
-	err := e.Run()
-	if err == nil {
-		t.Fatal("expected the hard read error to fail the run")
+	if rerr := e.Run(); rerr != nil {
+		t.Fatalf("the device failed the run itself: %v", rerr)
 	}
 	var hard *HardError
 	if !errors.As(err, &hard) {
-		t.Fatalf("error chain lost the typed cause: %v", err)
+		t.Fatalf("ReadPage returned %v, want a *HardError", err)
+	}
+	if hard.Op != "read" {
+		t.Fatalf("op = %q, want read", hard.Op)
 	}
 	if hard.Attempts != 3 { // initial read + 2 retries
 		t.Fatalf("attempts = %d, want 3", hard.Attempts)
@@ -167,11 +172,15 @@ func TestZRAMWritebackFallback(t *testing.T) {
 	d := zramRig(e, sim.NewRNG(5), plan, true)
 	e.Spawn("writer", false, func(v *sim.Env) {
 		for i := 0; i < 16; i++ {
-			d.WritePage(v, swap.Slot(i), int64(i), 0)
+			if err := d.WritePage(v, swap.Slot(i), int64(i), 0); err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
 		}
 		d.Drain(v)
 		for i := 0; i < 16; i++ {
-			d.ReadPage(v, swap.Slot(i), int64(i), 0)
+			if err := d.ReadPage(v, swap.Slot(i), int64(i), 0); err != nil {
+				t.Errorf("read %d: %v", i, err)
+			}
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -211,7 +220,9 @@ func TestZRAMPoolStall(t *testing.T) {
 	var end sim.Time
 	e.Spawn("writer", false, func(v *sim.Env) {
 		for i := 0; i < 8; i++ {
-			d.WritePage(v, swap.Slot(i), int64(i), 0)
+			if err := d.WritePage(v, swap.Slot(i), int64(i), 0); err != nil {
+				t.Errorf("write %d: %v", i, err)
+			}
 		}
 		end = v.Now()
 	})

@@ -59,7 +59,7 @@ func writeScenario(t *testing.T, seed uint64, plan Plan, n int) ([]sim.Time, Sta
 	var firstErr error
 	e.Spawn("writer", false, func(v *sim.Env) {
 		for i := 0; i < n; i++ {
-			if err := d.WritePageErr(v, swap.Slot(i%8), int64(i), 0); err != nil && firstErr == nil {
+			if err := d.WritePage(v, swap.Slot(i%8), int64(i), 0); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			ends = append(ends, v.Now())
@@ -89,9 +89,9 @@ func TestTransientWriteErrorsRetry(t *testing.T) {
 	}
 }
 
-// TestHardWriteErrorReturned: WritePageErr must RETURN the typed hard
-// error rather than panic — the page cache turns it into an errseq
-// ledger entry, not a dead trial.
+// TestHardWriteErrorReturned: WritePage must RETURN the typed hard error
+// rather than panic — the page cache turns it into an errseq ledger
+// entry, not a dead trial.
 func TestHardWriteErrorReturned(t *testing.T) {
 	_, stats, err := writeScenario(t, 8, Plan{WriteErrors: WriteErrorConfig{
 		Prob: 1, MaxRetries: 2, Backoff: sim.Microsecond,
@@ -111,17 +111,17 @@ func TestHardWriteErrorReturned(t *testing.T) {
 	}
 }
 
-// TestPrefetchErrSilent: PrefetchPageErr flags the failure to the caller
-// and counts it, but never retries and never panics — readahead is
-// speculative, the kernel just abandons it.
+// TestPrefetchErrSilent: the file-device wrapper's PrefetchPage flags the
+// failure to the caller and counts it, but never retries and never
+// panics — readahead is speculative, the kernel just abandons it.
 func TestPrefetchErrSilent(t *testing.T) {
 	e := sim.NewEngine(2)
 	rng := sim.NewRNG(9)
 	plan := Plan{ReadErrors: ReadErrorConfig{Prob: 1, MaxRetries: 10, Backoff: sim.Millisecond}}
-	d := Wrap(swap.NewSSD(ssdCfg(), e, rng.Stream(1)), plan, nil, rng.Stream(2))
+	d := WrapFile(swap.NewSSD(ssdCfg(), e, rng.Stream(1)), plan, rng.Stream(2))
 	var err error
 	e.Spawn("ra", false, func(v *sim.Env) {
-		err = d.PrefetchPageErr(v, 0, 1, 0)
+		err = d.PrefetchPage(v, 0, 1, 0)
 	})
 	if rerr := e.Run(); rerr != nil {
 		t.Fatalf("prefetch error escalated to the engine: %v", rerr)
@@ -137,18 +137,19 @@ func TestPrefetchErrSilent(t *testing.T) {
 }
 
 // TestZeroPlanTransparency: wrapping a device with an all-zero plan —
-// regardless of target — must be byte-invisible: identical completion
-// times to the bare device and zero injected stats. This is what lets
-// the file-device wrapper ride every existing figure without moving a
-// single event.
+// regardless of target or of which side it wraps — must be
+// byte-invisible: identical completion times to the bare device and zero
+// injected stats. This is what lets the file-device wrapper ride every
+// existing figure without moving a single event.
 func TestZeroPlanTransparency(t *testing.T) {
-	run := func(wrap bool, target DeviceTarget) []sim.Time {
+	wrapSwap := func(d swap.Device, p Plan, rng *sim.RNG) *Device { return Wrap(d, p, nil, rng) }
+	run := func(wrap func(swap.Device, Plan, *sim.RNG) *Device, target DeviceTarget) []sim.Time {
 		e := sim.NewEngine(2)
 		rng := sim.NewRNG(0xFACADE)
 		var dev swap.Device = swap.NewSSD(ssdCfg(), e, rng.Stream(1))
 		var fd *Device
-		if wrap {
-			fd = Wrap(dev, Plan{Target: target}, nil, rng.Stream(2))
+		if wrap != nil {
+			fd = wrap(dev, Plan{Target: target}, rng.Stream(2))
 			dev = fd
 		}
 		var ends []sim.Time
@@ -172,41 +173,58 @@ func TestZeroPlanTransparency(t *testing.T) {
 		}
 		return ends
 	}
-	bare := run(false, TargetSwap)
+	bare := run(nil, TargetSwap)
 	for _, target := range []DeviceTarget{TargetSwap, TargetFile, TargetBoth} {
-		wrapped := run(true, target)
-		if len(bare) != len(wrapped) {
-			t.Fatalf("target %v: %d vs %d events", target, len(bare), len(wrapped))
-		}
-		for i := range bare {
-			if bare[i] != wrapped[i] {
-				t.Fatalf("target %v: op %d at %v wrapped vs %v bare", target, i, wrapped[i], bare[i])
+		for side, wrap := range map[string]func(swap.Device, Plan, *sim.RNG) *Device{"swap": wrapSwap, "file": WrapFile} {
+			wrapped := run(wrap, target)
+			if len(bare) != len(wrapped) {
+				t.Fatalf("target %v, %s side: %d vs %d events", target, side, len(bare), len(wrapped))
+			}
+			for i := range bare {
+				if bare[i] != wrapped[i] {
+					t.Fatalf("target %v, %s side: op %d at %v wrapped vs %v bare", target, side, i, wrapped[i], bare[i])
+				}
 			}
 		}
 	}
 }
 
-// TestErrVariantTimingParity: the Err-returning entry points must draw
-// the same RNG sequence and charge the same latency as the panicking
-// ones, so the page cache's adoption of them moves nothing.
-func TestErrVariantTimingParity(t *testing.T) {
+// TestReadaheadCoinByRole: under a TargetBoth plan whose reads always
+// fail, the swap-side wrapper (Wrap) never fails readahead and draws no
+// RNG for it, while the file-side wrapper (WrapFile) fails every
+// prefetch. RNG consumption shows in the writes that follow: their
+// transient write errors and backoffs draw from the wrapper's stream, so
+// they land where a run with the prefetches issued on the unwrapped
+// device puts them exactly when the prefetches drew nothing.
+func TestReadaheadCoinByRole(t *testing.T) {
 	plan := Plan{
-		Storms:     StormConfig{Rate: 20, MeanDuration: 20 * sim.Millisecond, ExtraLatency: 2 * sim.Millisecond, Jitter: 0.4},
-		ReadErrors: ReadErrorConfig{Prob: 0.1, MaxRetries: 20, Backoff: 100 * sim.Microsecond},
+		Target:      TargetBoth,
+		ReadErrors:  ReadErrorConfig{Prob: 1, MaxRetries: 2, Backoff: sim.Microsecond},
+		WriteErrors: WriteErrorConfig{Prob: 0.5, MaxRetries: 50, Backoff: 100 * sim.Microsecond},
 	}
-	run := func(useErr bool) []sim.Time {
+	const prefetches, writes = 16, 64
+	wrapSwap := func(d swap.Device, p Plan, rng *sim.RNG) *Device { return Wrap(d, p, nil, rng) }
+	// run issues the prefetches through wrap's wrapper (or, unwrapped, on
+	// the bare device), then the writes through the wrapper; it returns
+	// the write completion times, the prefetch errors and the wrapper.
+	run := func(wrap func(swap.Device, Plan, *sim.RNG) *Device, unwrapped bool) ([]sim.Time, []error, *Device) {
 		e := sim.NewEngine(2)
-		rng := sim.NewRNG(0xD15C)
-		d := Wrap(swap.NewSSD(ssdCfg(), e, rng.Stream(1)), plan, nil, rng.Stream(2))
+		rng := sim.NewRNG(0xB07)
+		inner := swap.NewSSD(ssdCfg(), e, rng.Stream(1))
+		d := wrap(inner, plan, rng.Stream(2))
+		var pf swap.Device = d
+		if unwrapped {
+			pf = inner
+		}
 		var ends []sim.Time
-		e.Spawn("reader", false, func(v *sim.Env) {
-			for i := 0; i < 200; i++ {
-				if useErr {
-					if err := d.ReadPageErr(v, swap.Slot(i%8), int64(i), 0); err != nil {
-						t.Errorf("unexpected hard error: %v", err)
-					}
-				} else {
-					d.ReadPage(v, swap.Slot(i%8), int64(i), 0)
+		var errs []error
+		e.Spawn("io", false, func(v *sim.Env) {
+			for i := 0; i < prefetches; i++ {
+				errs = append(errs, pf.PrefetchPage(v, swap.Slot(i%8), int64(i), 0))
+			}
+			for i := 0; i < writes; i++ {
+				if err := d.WritePage(v, swap.Slot(i%8), int64(i), 0); err != nil {
+					t.Errorf("write %d: %v", i, err)
 				}
 				ends = append(ends, v.Now())
 			}
@@ -214,13 +232,46 @@ func TestErrVariantTimingParity(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return ends
+		return ends, errs, d
 	}
-	a, b := run(false), run(true)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("op %d: ReadPage at %v but ReadPageErr at %v", i, a[i], b[i])
+	ref, _, _ := run(wrapSwap, true)
+
+	swapEnds, swapErrs, sd := run(wrapSwap, false)
+	for i, err := range swapErrs {
+		if err != nil {
+			t.Fatalf("swap-side prefetch %d failed: %v", i, err)
 		}
+	}
+	if st := sd.FaultStats(); st.PrefetchErrors != 0 {
+		t.Fatalf("swap-side wrapper counted prefetch errors: %+v", st)
+	}
+	for i := range ref {
+		if swapEnds[i] != ref[i] {
+			t.Fatalf("swap-side readahead drew RNG: write %d at %v, unwrapped-prefetch run at %v", i, swapEnds[i], ref[i])
+		}
+	}
+
+	fileEnds, fileErrs, fd := run(WrapFile, false)
+	for i, err := range fileErrs {
+		var hard *HardError
+		if !errors.As(err, &hard) || hard.Attempts != 1 {
+			t.Fatalf("file-side prefetch %d: err = %v, want single-attempt *HardError", i, err)
+		}
+	}
+	if st := fd.FaultStats(); st.PrefetchErrors != prefetches || st.ReadRetries != 0 || st.HardReadErrors != 0 {
+		t.Fatalf("file-side stats = %+v, want %d prefetch errors and no retries", st, prefetches)
+	}
+	// The coins the file side drew shift the write-error sequence; if they
+	// did not, the comparison above could not see a draw either.
+	same := true
+	for i := range ref {
+		if fileEnds[i] != ref[i] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Fatal("file-side prefetch coins left the write timing unchanged; the swap-side check is vacuous")
 	}
 }
 

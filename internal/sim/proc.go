@@ -90,7 +90,8 @@ func (p *Proc) top(fn func(*Env)) {
 			case killSignalType:
 				// Engine shutdown; not a failure.
 			case error:
-				// Preserve typed panics (fault.HardError, vmm.OOMError,
+				// Preserve typed panics (a swap device's fault.HardError,
+				// which vmm panics to fail the trial, vmm.OOMError,
 				// core.LivelockError) so callers can errors.As-classify
 				// transient trial failures.
 				p.err = fmt.Errorf("sim: proc %q panicked: %w", p.name, e)
