@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden figure file with current output")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files (figures, work counters) with current output")
 
 // TestGoldenFigures renders a deterministic reduced-trials figure set and
 // diffs it against the checked-in golden file. The determinism suite
