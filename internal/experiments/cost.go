@@ -5,11 +5,10 @@ import "mglrusim/internal/core"
 // The cell cost model: a relative virtual-cost estimate for one series,
 // used by the shard executor's longest-processing-time-first bin packing.
 // Absolute accuracy does not matter — only the ordering does — so the
-// weights are coarse ratios read off the BENCH macro measurements
-// (fig1-series vs the whole figure run) and the per-policy micro
-// benchmarks (clock-scan's rmap pointer-chase makes Clock reclaim ~1.6x
-// an MG-LRU aging walk per reclaimed page; the scan-free simple policies
-// skip both).
+// weights are coarse, hand-set ratios of measured series run times (one
+// Fig 1 series against the whole figure run) and of per-policy reclaim
+// cost (Clock's rmap pointer chase costs ~1.6x an MG-LRU aging walk per
+// reclaimed page; the scan-free simple policies skip both).
 var (
 	costByWorkload = map[string]float64{
 		"tpch":     3.0, // largest footprint, scan-heavy batch phases

@@ -202,6 +202,47 @@ func TestBloomFiltersColdRegionsOnSecondWalk(t *testing.T) {
 	})
 }
 
+// TestBloomSkipRatio: with every region resident but only 2 of 64 ever
+// re-accessed, the bloom-gated aging walk scans well under half the
+// regions Scan-All does over the identical access pattern.
+func TestBloomSkipRatio(t *testing.T) {
+	run := func(cfg Config) uint64 {
+		const regions = 64
+		perRegion := allocFrames / regions
+		k := policytest.New(allocFrames, regions, 7)
+		p := New(cfg)
+		p.Attach(k)
+		policytest.Run(func(v *sim.Env) {
+			for r := 0; r < regions; r++ {
+				base := pagetable.VPN(r * pagetable.PTEsPerRegion)
+				for i := 0; i < perRegion; i++ {
+					k.FaultIn(v, p, base+pagetable.VPN(i), false, false)
+				}
+			}
+			hot := []pagetable.VPN{0, pagetable.VPN(32 * pagetable.PTEsPerRegion)}
+			for i := 0; i < 32; i++ {
+				for _, base := range hot {
+					for j := 0; j < perRegion; j++ {
+						k.Touch(base+pagetable.VPN(j), false)
+					}
+				}
+				p.Age(v)
+			}
+		})
+		return p.Stats().RegionsScanned
+	}
+	bloom := run(Default())
+	all := run(ScanAll())
+	if all == 0 {
+		t.Fatal("scan-all walked no regions; the scenario exercises nothing")
+	}
+	if bloom*2 >= all {
+		t.Fatalf("bloom-gated walk scanned %d regions vs scan-all's %d; expected under half", bloom, all)
+	}
+	t.Logf("bloom-skip ratio: %d/%d regions scanned (%.0f%% skipped)",
+		bloom, all, 100*(1-float64(bloom)/float64(all)))
+}
+
 func TestReclaimEvictsFromOldestGeneration(t *testing.T) {
 	g, k := attach(Default(), 64, 1, 1)
 	policytest.Run(func(v *sim.Env) {
