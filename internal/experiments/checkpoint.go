@@ -4,22 +4,18 @@ import (
 	"encoding/json"
 
 	"mglrusim/internal/core"
-	"mglrusim/internal/fault"
-	"mglrusim/internal/pagecache"
-	"mglrusim/internal/policy"
-	"mglrusim/internal/sim"
 	"mglrusim/internal/stats"
-	"mglrusim/internal/swap"
-	"mglrusim/internal/vmm"
 )
 
 // checkpointVersion guards the on-disk series format: a stored envelope
-// from a different version is treated as absent and re-executed.
-const checkpointVersion = 1
+// from a different version is treated as absent and re-executed. Trials
+// encode core.Metrics as declared, so a change to its fields or their
+// order is a format change too.
+const checkpointVersion = 2
 
 // seriesEnvelope is the persisted form of one completed Series. The full
 // cache key is embedded so a hash-named file is self-verifying, and
-// latency recorders are flattened to their raw samples — exact integer
+// latency recorders encode as their raw samples — exact integer
 // nanoseconds, so a resumed series reproduces every percentile (and with
 // it every figure byte) identically. All numeric fields are integers or
 // Go-JSON float64s, both of which round-trip exactly.
@@ -29,73 +25,19 @@ type seriesEnvelope struct {
 	Workload string
 	Policy   string
 	System   core.SystemConfig
-	Trials   []trialMetrics
-}
-
-// trialMetrics mirrors core.Metrics with recorders flattened.
-type trialMetrics struct {
-	Runtime        sim.Time
-	AppCPU         sim.Duration
-	Counters       vmm.Counters
-	Policy         policy.Stats
-	Device         swap.Stats
-	ReadLat        []int64
-	WriteLat       []int64
-	FaultLat       []int64
-	FootprintPages int
-	CapacityPages  int
-	SegmentFaults  map[string]uint64 `json:",omitempty"`
-	Injected       fault.Stats
-	FileInjected   fault.Stats
-	FileCache      pagecache.Stats
-	FileDevice     swap.Stats
-}
-
-func samplesOf(l *stats.LatencyRecorder) []int64 {
-	if l == nil {
-		return nil
-	}
-	return l.Samples()
-}
-
-func recorderOf(samples []int64) *stats.LatencyRecorder {
-	l := stats.NewLatencyRecorder(len(samples))
-	for _, s := range samples {
-		l.Record(s)
-	}
-	return l
+	Trials   []core.Metrics
 }
 
 // encodeSeries serializes s for the checkpoint store under key.
 func encodeSeries(key string, s *Series) ([]byte, error) {
-	env := seriesEnvelope{
+	return json.Marshal(seriesEnvelope{
 		Version:  checkpointVersion,
 		Key:      key,
 		Workload: s.Workload,
 		Policy:   s.Policy,
 		System:   s.System,
-		Trials:   make([]trialMetrics, len(s.Trials)),
-	}
-	for i, m := range s.Trials {
-		env.Trials[i] = trialMetrics{
-			Runtime:        m.Runtime,
-			AppCPU:         m.AppCPU,
-			Counters:       m.Counters,
-			Policy:         m.Policy,
-			Device:         m.Device,
-			ReadLat:        samplesOf(m.ReadLat),
-			WriteLat:       samplesOf(m.WriteLat),
-			FaultLat:       samplesOf(m.FaultLat),
-			FootprintPages: m.FootprintPages,
-			CapacityPages:  m.CapacityPages,
-			SegmentFaults:  m.SegmentFaults,
-			Injected:       m.Injected,
-			FileInjected:   m.FileInjected,
-			FileCache:      m.FileCache,
-			FileDevice:     m.FileDevice,
-		}
-	}
-	return json.Marshal(env)
+		Trials:   s.Trials,
+	})
 }
 
 // SeriesSummary is the compact telemetry digest of one stored series —
@@ -116,11 +58,7 @@ type SeriesSummary struct {
 // SeriesSummary. ok is false when the blob is not a valid series envelope
 // of the current format version.
 func SummarizeSeriesBlob(data []byte) (SeriesSummary, bool) {
-	var env seriesEnvelope
-	if err := json.Unmarshal(data, &env); err != nil || env.Version != checkpointVersion {
-		return SeriesSummary{}, false
-	}
-	s, ok := decodeSeries(env.Key, data)
+	s, _, ok := parseSeries(data)
 	if !ok {
 		return SeriesSummary{}, false
 	}
@@ -144,37 +82,34 @@ func SummarizeSeriesBlob(data []byte) (SeriesSummary, bool) {
 // different logical key (hash collision or stale file) — all of which
 // mean "re-execute".
 func decodeSeries(key string, data []byte) (*Series, bool) {
+	s, stored, ok := parseSeries(data)
+	if !ok || stored != key {
+		return nil, false
+	}
+	return s, true
+}
+
+// parseSeries decodes an envelope of the current format version and
+// returns the series with the cache key it was stored under.
+func parseSeries(data []byte) (*Series, string, bool) {
 	var env seriesEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, false
+	if err := json.Unmarshal(data, &env); err != nil || env.Version != checkpointVersion {
+		return nil, "", false
 	}
-	if env.Version != checkpointVersion || env.Key != key {
-		return nil, false
+	// A recorder stored as null decodes as nil; series consumers call
+	// Count on every recorder, so restore it as an empty one.
+	for i := range env.Trials {
+		m := &env.Trials[i]
+		for _, l := range []**stats.LatencyRecorder{&m.ReadLat, &m.WriteLat, &m.FaultLat} {
+			if *l == nil {
+				*l = stats.NewLatencyRecorder(0)
+			}
+		}
 	}
-	s := &Series{
+	return &Series{
 		Workload: env.Workload,
 		Policy:   env.Policy,
 		System:   env.System,
-		Trials:   make([]core.Metrics, len(env.Trials)),
-	}
-	for i, t := range env.Trials {
-		s.Trials[i] = core.Metrics{
-			Runtime:        t.Runtime,
-			AppCPU:         t.AppCPU,
-			Counters:       t.Counters,
-			Policy:         t.Policy,
-			Device:         t.Device,
-			ReadLat:        recorderOf(t.ReadLat),
-			WriteLat:       recorderOf(t.WriteLat),
-			FaultLat:       recorderOf(t.FaultLat),
-			FootprintPages: t.FootprintPages,
-			CapacityPages:  t.CapacityPages,
-			SegmentFaults:  t.SegmentFaults,
-			Injected:       t.Injected,
-			FileInjected:   t.FileInjected,
-			FileCache:      t.FileCache,
-			FileDevice:     t.FileDevice,
-		}
-	}
-	return s, true
+		Trials:   env.Trials,
+	}, env.Key, true
 }

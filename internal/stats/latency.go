@@ -1,6 +1,10 @@
 package stats
 
-import "slices"
+import (
+	"encoding/json"
+	"slices"
+	"strconv"
+)
 
 // TailPoints are the percentiles reported in the paper's tail-latency
 // figures (Figs. 3, 8, 12).
@@ -98,4 +102,29 @@ func (l *LatencyRecorder) Samples() []int64 {
 func (l *LatencyRecorder) Merge(other *LatencyRecorder) {
 	l.samples = append(l.samples, other.samples...)
 	l.sorted = nil
+}
+
+// MarshalJSON encodes the recorder as its raw samples in insertion order:
+// exact integer nanoseconds, so a decoded recorder reproduces every
+// percentile identically.
+func (l *LatencyRecorder) MarshalJSON() ([]byte, error) {
+	b := append(make([]byte, 0, 2+8*len(l.samples)), '[')
+	for i, s := range l.samples {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, s, 10)
+	}
+	return append(b, ']'), nil
+}
+
+// UnmarshalJSON restores a recorder from the sample array MarshalJSON
+// wrote, replacing any samples it held.
+func (l *LatencyRecorder) UnmarshalJSON(data []byte) error {
+	var samples []int64
+	if err := json.Unmarshal(data, &samples); err != nil {
+		return err
+	}
+	l.samples, l.sorted = samples, nil
+	return nil
 }
